@@ -8,13 +8,9 @@ import (
 	"strings"
 	"time"
 
-	"pelta/internal/attack"
 	"pelta/internal/dataset"
 	"pelta/internal/eval"
-	"pelta/internal/fl"
 	"pelta/internal/models"
-	"pelta/internal/serve"
-	"pelta/internal/tensor"
 )
 
 // benchEntry is one machine-readable timing record of a bench stage.
@@ -68,8 +64,6 @@ type options struct {
 	overhead  bool
 	workers   int
 	benchJSON string
-	kernels   bool
-	trace     bool
 }
 
 func run() error {
@@ -90,8 +84,6 @@ func run() error {
 	flag.BoolVar(&o.overhead, "overhead", false, "measure the §VI TEE overheads per defender")
 	flag.IntVar(&o.workers, "workers", 0, "attack-oracle worker pool size (0 = one per core)")
 	flag.StringVar(&o.benchJSON, "benchjson", "", "write stage timings to this JSON file (e.g. BENCH_peltabench.json)")
-	flag.BoolVar(&o.kernels, "kernels", false, "time the tensor kernel layer (single-threaded vs pooled) and exit")
-	flag.BoolVar(&o.trace, "trace", false, "drive a seeded burst through a fully traced service, print the per-stage latency table, and emit BENCH_trace.json")
 	flag.Parse()
 	eval.SetOracleWorkers(o.workers)
 	bench := &benchLog{}
@@ -102,17 +94,6 @@ func run() error {
 			}
 		}
 	}()
-
-	if o.kernels {
-		if o.benchJSON == "" {
-			o.benchJSON = "BENCH_kernels.json"
-		}
-		runKernelBench(bench)
-		return nil
-	}
-	if o.trace {
-		return runTraceBench(o, bench)
-	}
 
 	if o.tables == "" && o.figs == "" {
 		o.tables, o.figs = "all", "all"
@@ -220,167 +201,6 @@ func run() error {
 		}
 	}
 	return nil
-}
-
-// runTraceBench drives a seeded three-phase burst (calm → 4× surge → calm)
-// through an in-process shielded service tracing every request, prints the
-// per-route × per-stage latency table, and writes BENCH_trace.json with the
-// summary plus every retained span record. The spans are structurally
-// validated first — a negative stage duration or a stage sum drifting from
-// the end-to-end span fails the stage — which is what the CI trace smoke
-// cell gates on. Adversarial probes are FGSM against the served weights, so
-// both routes appear in the table; the model is untrained (this stage
-// measures serving latency, not accuracy).
-func runTraceBench(o options, bench *benchLog) error {
-	start := time.Now()
-	ds := dataset.SynthCIFAR10(o.hw, o.seed+40)
-	ds.TrainN, ds.ValN = 8, 120
-	_, val := dataset.Generate(ds)
-
-	base := models.NewViT(models.SmallViT("ViT-L/16", ds.Classes, o.hw, o.hw/4), tensor.NewRNG(o.seed))
-	weights := fl.Snapshot(base)
-	build := func(i int) (models.Model, error) {
-		m := models.NewViT(models.SmallViT("ViT-L/16", ds.Classes, o.hw, o.hw/4), tensor.NewRNG(o.seed+1000+int64(i)))
-		if err := fl.Apply(m, weights); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	pool, err := serve.NewShieldedPool(2, 0, build)
-	if err != nil {
-		return err
-	}
-	svc := serve.NewService(pool, serve.Config{
-		MaxBatch:   8,
-		MaxDelay:   2 * time.Millisecond,
-		QueueDepth: 64,
-		Trace:      &serve.TraceConfig{Sample: 1.0},
-	})
-	defer svc.Close()
-
-	items := make([]serve.TrafficItem, 0, val.Len())
-	for i := 0; i < val.Len(); i++ {
-		items = append(items, serve.TrafficItem{X: val.X.Slice(i), Label: val.Y[i]})
-	}
-	nAdv := 40
-	atk := &attack.FGSM{Eps: 0.06}
-	xadv, err := atk.Perturb(attack.NewClearOracle(base), val.X.SliceRange(0, nAdv), val.Y[:nAdv])
-	if err != nil {
-		return fmt.Errorf("crafting probe traffic: %w", err)
-	}
-	for i := 0; i < nAdv; i++ {
-		items = append(items, serve.TrafficItem{X: xadv.Slice(i), Label: val.Y[i], Adversarial: true})
-	}
-
-	const spec = "120:0.25s:0.1,480:0.25s:0.5,120:0.25s:0.1"
-	phases, err := serve.ParsePhases(spec)
-	if err != nil {
-		return err
-	}
-	rep, err := serve.RunLoadPhases(svc, items, phases, serve.LoadConfig{Seed: o.seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(eval.SummarizeServePhases(rep).Render())
-
-	recs := svc.Tracer().Records()
-	if err := eval.ValidateSpans(recs); err != nil {
-		return fmt.Errorf("trace validation: %w", err)
-	}
-	tsum := eval.SummarizeTrace(recs)
-	fmt.Print(tsum.Render())
-	bench.add("trace", "", time.Since(start))
-
-	out := "BENCH_trace.json"
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(map[string]any{
-		"stage":   "trace",
-		"phases":  spec,
-		"sent":    rep.Total.Sent,
-		"served":  rep.Total.Served,
-		"shed":    rep.Total.Shed,
-		"summary": tsum,
-		"spans":   recs,
-		"seconds": time.Since(start).Seconds(),
-	}); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d span records to %s\n", len(recs), out)
-	return nil
-}
-
-// runKernelBench times each hot kernel once single-threaded and once on the
-// shared worker pool, logging seconds per call. The benchEntry dataset field
-// carries the worker mode so the JSON artifact diffs cleanly across runs.
-func runKernelBench(bench *benchLog) {
-	rng := tensor.NewRNG(42)
-	pool := tensor.NewPool()
-
-	a := rng.Uniform(-1, 1, 256, 256)
-	bm := rng.Uniform(-1, 1, 256, 256)
-	mm := tensor.New(256, 256)
-
-	x := rng.Uniform(-1, 1, 8, 16, 32, 32)
-	w := rng.Uniform(-1, 1, 32, 16, 3, 3)
-	bias := rng.Uniform(-1, 1, 32)
-	oh := tensor.ConvOut(32, 3, 1, 1)
-	y := tensor.New(8, 32, oh, oh)
-	gy := rng.Uniform(-1, 1, 8, 32, oh, oh)
-	gx, gw, gb := tensor.New(x.Shape()...), tensor.New(w.Shape()...), tensor.New(32)
-
-	xt := rng.Uniform(-1, 1, 8, 16, 16, 16)
-	wt := rng.Uniform(-1, 1, 16, 3, 4, 4)
-	up := tensor.New(8, 3, (16-1)*2+4, (16-1)*2+4)
-
-	q := rng.Uniform(-1, 1, 16, 65, 48)
-	k := rng.Uniform(-1, 1, 16, 65, 48)
-	v := rng.Uniform(-1, 1, 16, 65, 48)
-	attn := tensor.New(16, 65, 48)
-	gq, gk, gv := tensor.New(16, 65, 48), tensor.New(16, 65, 48), tensor.New(16, 65, 48)
-	gattn := rng.Uniform(-1, 1, 16, 65, 48)
-
-	kernels := []struct {
-		stage string
-		run   func()
-	}{
-		{"kernel/matmul_256", func() { tensor.MatMulInto(mm, a, bm) }},
-		{"kernel/conv2d_fwd", func() { tensor.Conv2dInto(pool, y, x, w, bias, 1, 1) }},
-		{"kernel/conv2d_bwd", func() {
-			gb.Zero()
-			tensor.Conv2dBackwardInto(pool, gx, gw, gb, x, w, gy, 1, 1)
-		}},
-		{"kernel/convtranspose2d", func() { tensor.ConvTranspose2dInto(pool, up, xt, wt, 2, 0) }},
-		{"kernel/attention_fused_fwd", func() { tensor.FusedAttentionInto(pool, attn, q, k, v, 0.125) }},
-		{"kernel/attention_fused_bwd", func() {
-			gk.Zero()
-			gv.Zero()
-			tensor.FusedAttentionBackwardInto(pool, gq, gk, gv, q, k, v, gattn, 0.125)
-		}},
-	}
-	const reps = 5
-	for _, mode := range []struct {
-		label   string
-		workers int
-	}{{"workers=1", 1}, {"workers=auto", 0}} {
-		prev := tensor.SetKernelWorkers(mode.workers)
-		for _, kb := range kernels {
-			kb.run() // warm the pool and page in the operands
-			start := time.Now()
-			for i := 0; i < reps; i++ {
-				kb.run()
-			}
-			per := time.Since(start) / reps
-			bench.add(kb.stage, mode.label, per)
-			fmt.Printf("%-28s %-14s %12v/op\n", kb.stage, mode.label, per.Round(time.Microsecond))
-		}
-		tensor.SetKernelWorkers(prev)
-	}
 }
 
 func hasItem(spec, item string) bool {

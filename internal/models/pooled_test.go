@@ -39,8 +39,11 @@ func runPass(m Model, g *autograd.Graph, x *tensor.Tensor, y []int) (*tensor.Ten
 // execution engine: borrowing every tensor from a Pool and recycling the
 // arena between passes must not change a single bit of the forward results
 // or the input gradients, for every model family, across repeated arena
-// reuse (the steady state iterative attacks live in).
+// reuse (the steady state iterative attacks live in). Warm passes must run
+// entirely off recycled buffers with identical pool traffic, at every
+// kernel worker count — scratch ownership must not depend on scheduling.
 func TestPooledPassBitIdenticalToHeapPass(t *testing.T) {
+	const warmup, steady = 3, 5
 	rng := tensor.NewRNG(123)
 	for _, m := range pooledModels(t) {
 		x := rng.Uniform(0, 1, 2, 3, 16, 16)
@@ -49,28 +52,41 @@ func TestPooledPassBitIdenticalToHeapPass(t *testing.T) {
 		heapLogits, heapGrad := runPass(m, autograd.NewGraph(), x, y)
 		clearGrads(m)
 
-		pool := tensor.NewPool()
-		pg := autograd.NewGraphWithPool(pool)
-		for pass := 0; pass < 3; pass++ {
-			pg.Release()
-			logits, grad := runPass(m, pg, x, y)
-			clearGrads(m)
-			if !logits.AllClose(heapLogits, 0) {
-				t.Fatalf("%s pass %d: pooled logits differ from heap logits", m.Name(), pass)
-			}
-			if !grad.AllClose(heapGrad, 0) {
-				t.Fatalf("%s pass %d: pooled ∇x differs from heap ∇x", m.Name(), pass)
-			}
-		}
-		// After warmup the arena must run entirely off recycled buffers.
-		before := pool.Stats()
-		pg.Release()
-		runPass(m, pg, x, y)
-		clearGrads(m)
-		after := pool.Stats()
-		if misses := after.Misses - before.Misses; misses != 0 {
-			t.Fatalf("%s: steady-state pass allocated %d fresh buffers (of %d gets)",
-				m.Name(), misses, after.Gets-before.Gets)
+		for _, workers := range []int{1, 2, 4} {
+			func() {
+				defer tensor.SetKernelWorkers(tensor.SetKernelWorkers(workers))
+				pool := tensor.NewPool()
+				pg := autograd.NewGraphWithPool(pool)
+				var warmGets int64
+				for pass := 0; pass < warmup+steady; pass++ {
+					before := pool.Stats()
+					pg.Release()
+					logits, grad := runPass(m, pg, x, y)
+					clearGrads(m)
+					after := pool.Stats()
+					if !logits.AllClose(heapLogits, 0) {
+						t.Fatalf("%s workers=%d pass %d: pooled logits differ from heap logits", m.Name(), workers, pass)
+					}
+					if !grad.AllClose(heapGrad, 0) {
+						t.Fatalf("%s workers=%d pass %d: pooled ∇x differs from heap ∇x", m.Name(), workers, pass)
+					}
+					if pass < warmup {
+						continue
+					}
+					// After warmup the arena must run entirely off recycled
+					// buffers, borrowing the same number every pass.
+					gets := after.Gets - before.Gets
+					if misses := after.Misses - before.Misses; misses != 0 {
+						t.Fatalf("%s workers=%d pass %d: steady-state pass allocated %d fresh buffers (of %d gets)",
+							m.Name(), workers, pass, misses, gets)
+					}
+					if pass > warmup && gets != warmGets {
+						t.Fatalf("%s workers=%d pass %d: %d pool gets, previous warm pass had %d",
+							m.Name(), workers, pass, gets, warmGets)
+					}
+					warmGets = gets
+				}
+			}()
 		}
 	}
 }

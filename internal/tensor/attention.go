@@ -38,13 +38,15 @@ func checkFusedAttention(op string, dst, q, k, v *Tensor) (G, T, dh int) {
 }
 
 // FusedAttentionInto stores softmax(q@kᵀ·scale)@v into dst for operands
-// shaped [G,T,dh], overwriting it. Strip scratch is borrowed from p when
+// shaped [G,T,dh], overwriting it. The strip slab is borrowed from p when
 // non-nil.
 func FusedAttentionInto(p *Pool, dst, q, k, v *Tensor, scale float32) {
 	G, T, dh := checkFusedAttention("FusedAttentionInto", dst, q, k, v)
 	hk, t0 := kernelStart()
-	parallelFor(G, 2*G*T*T*dh, func(g0, g1 int) {
-		srow := scratch(p, attnRowBlock, T)
+	nc := chunks(G, 2*G*T*T*dh)
+	srow := scratch(p, nc, attnRowBlock*T)
+	parallelFor(G, nc, func(ci, g0, g1 int) {
+		sc := part(srow, ci)
 		for g := g0; g < g1; g++ {
 			sl := g * T * dh
 			qg, kg, vg := q.data[sl:sl+T*dh], k.data[sl:sl+T*dh], v.data[sl:sl+T*dh]
@@ -54,7 +56,7 @@ func FusedAttentionInto(p *Pool, dst, q, k, v *Tensor, scale float32) {
 				if rb > attnRowBlock {
 					rb = attnRowBlock
 				}
-				s := srow.data[:rb*T]
+				s := sc[:rb*T]
 				dotRows(s, qg[r0*dh:(r0+rb)*dh], kg, rb, dh, T)
 				for i := range s {
 					s[i] = scale * s[i]
@@ -63,8 +65,8 @@ func FusedAttentionInto(p *Pool, dst, q, k, v *Tensor, scale float32) {
 				matMulRows(og[r0*dh:], s, vg, 0, rb, T, dh)
 			}
 		}
-		unscratch(p, srow)
 	})
+	unscratch(p, srow)
 	kernelEnd(hk, t0, KernelAttention)
 }
 
@@ -80,9 +82,10 @@ func FusedAttentionBackwardInto(p *Pool, gq, gk, gv, q, k, v, gy *Tensor, scale 
 			gq.shape, gk.shape, gv.shape, q.shape))
 	}
 	hk, t0 := kernelStart()
-	parallelFor(G, 5*G*T*T*dh, func(g0, g1 int) {
-		pblk := scratch(p, attnRowBlock, T)
-		gblk := scratch(p, attnRowBlock, T)
+	nc := chunks(G, 5*G*T*T*dh)
+	pblk, gblk := scratch(p, nc, attnRowBlock*T), scratch(p, nc, attnRowBlock*T)
+	parallelFor(G, nc, func(ci, g0, g1 int) {
+		pc, gc := part(pblk, ci), part(gblk, ci)
 		for g := g0; g < g1; g++ {
 			sl := g * T * dh
 			qg, kg, vg := q.data[sl:sl+T*dh], k.data[sl:sl+T*dh], v.data[sl:sl+T*dh]
@@ -93,8 +96,7 @@ func FusedAttentionBackwardInto(p *Pool, gq, gk, gv, q, k, v, gy *Tensor, scale 
 				if rb > attnRowBlock {
 					rb = attnRowBlock
 				}
-				P := pblk.data[:rb*T]
-				gA := gblk.data[:rb*T]
+				P, gA := pc[:rb*T], gc[:rb*T]
 				qBlk, gyBlk := qg[r0*dh:(r0+rb)*dh], gyg[r0*dh:(r0+rb)*dh]
 				// Recompute this strip's probabilities with the forward
 				// arithmetic.
@@ -128,7 +130,7 @@ func FusedAttentionBackwardInto(p *Pool, gq, gk, gv, q, k, v, gy *Tensor, scale 
 				transAOuter(gkg, gA, qBlk, T, rb, dh)
 			}
 		}
-		unscratch(p, pblk, gblk)
 	})
+	unscratch(p, pblk, gblk)
 	kernelEnd(hk, t0, KernelAttention)
 }

@@ -18,22 +18,8 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 	c, h, w := x.shape[0], x.shape[1], x.shape[2]
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
 	cols := New(oh*ow, c*kh*kw)
-	Im2ColInto(cols, x, kh, kw, stride, pad)
-	return cols
-}
-
-// Im2ColInto lowers x [C,H,W] into the pre-allocated cols matrix
-// [outH*outW, C*kh*kw], overwriting every element.
-func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
-	if len(x.shape) != 3 {
-		panic(fmt.Sprintf("tensor: Im2ColInto requires [C,H,W], got %v", x.shape))
-	}
-	c, h, w := x.shape[0], x.shape[1], x.shape[2]
-	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
-	if len(cols.data) != oh*ow*c*kh*kw {
-		panic(fmt.Sprintf("tensor: Im2ColInto destination %v incompatible", cols.shape))
-	}
 	im2colRaw(cols.data, x.data, c, h, w, kh, kw, stride, pad)
+	return cols
 }
 
 // im2colRaw lowers one [C,H,W] raw image into cols [outH*outW, C*kh*kw].
@@ -41,7 +27,12 @@ func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
 // for large images (each row is written identically on every path).
 func im2colRaw(cols, x []float32, c, h, w, kh, kw, stride, pad int) {
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
-	parallelFor(oh, oh*ow*c*kh*kw, func(y0, y1 int) {
+	nc := chunks(oh, oh*ow*c*kh*kw)
+	if nc == 1 {
+		im2colRows(cols, x, c, h, w, kh, kw, stride, pad, 0, oh)
+		return
+	}
+	parallelFor(oh, nc, func(_, y0, y1 int) {
 		im2colRows(cols, x, c, h, w, kh, kw, stride, pad, y0, y1)
 	})
 }
@@ -76,24 +67,13 @@ func im2colRows(cols, x []float32, c, h, w, kh, kw, stride, pad, y0, y1 int) {
 // accumulating overlapping contributions. It is the adjoint of Im2Col and is
 // used in convolution backward passes and transposed convolutions.
 func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
-	img := New(c, h, w)
-	Col2ImInto(img, cols, kh, kw, stride, pad)
-	return img
-}
-
-// Col2ImInto scatters cols back onto the pre-allocated img [C,H,W],
-// overwriting it (img is zeroed first, then overlapping contributions are
-// accumulated).
-func Col2ImInto(img, cols *Tensor, kh, kw, stride, pad int) {
-	if len(img.shape) != 3 {
-		panic(fmt.Sprintf("tensor: Col2ImInto requires a [C,H,W] destination, got %v", img.shape))
-	}
-	c, h, w := img.shape[0], img.shape[1], img.shape[2]
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
 	if cols.shape[0] != oh*ow || cols.shape[1] != c*kh*kw {
 		panic(fmt.Sprintf("tensor: Col2Im shape %v incompatible with image [%d,%d,%d] k=%dx%d s=%d p=%d", cols.shape, c, h, w, kh, kw, stride, pad))
 	}
+	img := New(c, h, w)
 	col2imRaw(img.data, cols.data, c, h, w, kh, kw, stride, pad)
+	return img
 }
 
 // col2imRaw scatters cols back onto a [C,H,W] raw image buffer (img is
@@ -108,11 +88,12 @@ func Col2ImInto(img, cols *Tensor, kh, kw, stride, pad int) {
 func col2imRaw(img, cols []float32, c, h, w, kh, kw, stride, pad int) {
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
 	ckk := c * kh * kw
-	if !shouldParallel(c, oh*ow*ckk) {
+	nc := chunks(c, oh*ow*ckk)
+	if nc == 1 {
 		col2imRowMajor(img, cols, c, h, w, kh, kw, stride, pad)
 		return
 	}
-	parallelFor(c, oh*ow*ckk, func(c0, c1 int) {
+	parallelFor(c, nc, func(_, c0, c1 int) {
 		for ch := c0; ch < c1; ch++ {
 			plane := img[ch*h*w : (ch+1)*h*w]
 			for i := range plane {
@@ -188,14 +169,24 @@ func Conv2d(x, weight, bias *Tensor, stride, pad int) *Tensor {
 	return out
 }
 
-// scratch borrows a tensor from p, or allocates fresh when p is nil.
-func scratch(p *Pool, shape ...int) *Tensor {
+// scratch borrows a [rows, size] slab from p, or allocates fresh when p is
+// nil. Kernels borrow one slab per scratch kind before dispatch, with one
+// row per chunk (see part), so the pool sees the same traffic at every
+// worker count and under every schedule.
+func scratch(p *Pool, rows, size int) *Tensor {
 	if p == nil {
-		return New(shape...)
+		return New(rows, size)
 	}
-	return p.Get(shape...)
+	return p.Get(rows, size)
 }
 
+// part returns row i of a scratch slab: chunk i's private buffer.
+func part(slab *Tensor, i int) []float32 {
+	n := slab.shape[1]
+	return slab.data[i*n : (i+1)*n]
+}
+
+// unscratch returns slabs to p (nil slabs and a nil pool are no-ops).
 func unscratch(p *Pool, ts ...*Tensor) {
 	if p == nil {
 		return
@@ -206,8 +197,8 @@ func unscratch(p *Pool, ts ...*Tensor) {
 }
 
 // Conv2dInto performs a batched 2-D convolution into dst [B,outC,oh,ow],
-// overwriting it. Per-sample im2col scratch is borrowed from p when non-nil,
-// making the steady-state kernel allocation-free.
+// overwriting it. The im2col and product slabs are borrowed from p when
+// non-nil, making the steady-state kernel allocation-free.
 func Conv2dInto(p *Pool, dst, x, weight, bias *Tensor, stride, pad int) {
 	if len(x.shape) != 4 || len(weight.shape) != 4 {
 		panic(fmt.Sprintf("tensor: Conv2d requires x [B,C,H,W] and weight [O,C,kh,kw], got %v and %v", x.shape, weight.shape))
@@ -227,18 +218,19 @@ func Conv2dInto(p *Pool, dst, x, weight, bias *Tensor, stride, pad int) {
 		biasData = bias.data
 	}
 	hk, t0 := kernelStart()
-	// Samples are independent: shard the batch over the worker pool, with
-	// im2col/product scratch borrowed per shard (Pool is concurrency-safe).
-	parallelFor(b, b*oh*ow*oc*c*kh*kw, func(i0, i1 int) {
-		cols := scratch(p, oh*ow, c*kh*kw)
-		prod := scratch(p, oh*ow, oc)
+	// Samples are independent: shard the batch over the worker pool.
+	np, ckk := oh*ow, c*kh*kw
+	nc := chunks(b, b*np*oc*ckk)
+	cols, prod := scratch(p, nc, np*ckk), scratch(p, nc, np*oc)
+	parallelFor(b, nc, func(ci, i0, i1 int) {
+		cc, pc := part(cols, ci), part(prod, ci)
 		for i := i0; i < i1; i++ {
-			im2colRaw(cols.data, x.data[i*c*h*w:(i+1)*c*h*w], c, h, w, kh, kw, stride, pad)
-			matMulTransBRaw(prod.data, cols.data, wmat.data, oh*ow, c*kh*kw, oc) // [oh*ow, oc]
-			transposeScatterBias(dst.data[i*oc*oh*ow:(i+1)*oc*oh*ow], prod.data, biasData, oc, oh*ow)
+			im2colRaw(cc, x.data[i*c*h*w:(i+1)*c*h*w], c, h, w, kh, kw, stride, pad)
+			matMulTransBRaw(pc, cc, wmat.data, np, ckk, oc) // [np, oc]
+			transposeScatterBias(dst.data[i*oc*np:(i+1)*oc*np], pc, biasData, oc, np)
 		}
-		unscratch(p, cols, prod)
 	})
+	unscratch(p, cols, prod)
 	kernelEnd(hk, t0, KernelConv)
 }
 
@@ -300,7 +292,7 @@ func Conv2dBackwardInto(p *Pool, gx, gw, gb, x, weight, gy *Tensor, stride, pad 
 	b, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oc, kh, kw := weight.shape[0], weight.shape[2], weight.shape[3]
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
-	ckk := c * kh * kw
+	np, ckk := oh*ow, c*kh*kw
 	wmat := weight.Reshape(oc, ckk)
 	hk, t0 := kernelStart()
 
@@ -308,27 +300,24 @@ func Conv2dBackwardInto(p *Pool, gx, gw, gb, x, weight, gy *Tensor, stride, pad 
 	// reductions cross samples, so the parallel phase only writes per-sample
 	// partials; the cross-sample sum happens serially below, in ascending
 	// sample order, reproducing the historical accumulation bit-for-bit.
-	var gwPart, gbPart *Tensor
+	var gwPart, gbPart, cols *Tensor
+	nc := chunks(b, 2*b*np*oc*ckk)
 	if gw != nil {
-		gwPart = scratch(p, b, oc*ckk)
+		gwPart, cols = scratch(p, b, oc*ckk), scratch(p, nc, np*ckk)
 	}
 	if gb != nil {
 		gbPart = scratch(p, b, oc)
 	}
-	parallelFor(b, 2*b*oh*ow*oc*ckk, func(i0, i1 int) {
-		gyMat := scratch(p, oh*ow, oc)
-		gcols := scratch(p, oh*ow, ckk)
-		var cols *Tensor
-		if gw != nil {
-			cols = scratch(p, oh*ow, ckk)
-		}
+	gyMat, gcols := scratch(p, nc, np*oc), scratch(p, nc, np*ckk)
+	parallelFor(b, nc, func(ci, i0, i1 int) {
+		gm, gc := part(gyMat, ci), part(gcols, ci)
 		for i := i0; i < i1; i++ {
-			gyData := gy.data[i*oc*oh*ow : (i+1)*oc*oh*ow] // [oc, oh, ow]
-			// gyMat [oh*ow, oc]
+			gyData := gy.data[i*oc*np : (i+1)*oc*np] // [oc, oh, ow]
+			// gm [np, oc]
 			for o := 0; o < oc; o++ {
-				plane := gyData[o*oh*ow : (o+1)*oh*ow]
+				plane := gyData[o*np : (o+1)*np]
 				for pp, v := range plane {
-					gyMat.data[pp*oc+o] = v
+					gm[pp*oc+o] = v
 				}
 				if gbPart != nil {
 					var s float32
@@ -339,39 +328,34 @@ func Conv2dBackwardInto(p *Pool, gx, gw, gb, x, weight, gy *Tensor, stride, pad 
 				}
 			}
 			if gw != nil {
-				// Per-sample partial gyMatᵀ @ cols into this sample's row.
-				im2colRaw(cols.data, x.data[i*c*h*w:(i+1)*c*h*w], c, h, w, kh, kw, stride, pad)
-				gwRow := gwPart.data[i*oc*ckk : (i+1)*oc*ckk]
+				// Per-sample partial gmᵀ @ cols into this sample's row.
+				cc := part(cols, ci)
+				im2colRaw(cc, x.data[i*c*h*w:(i+1)*c*h*w], c, h, w, kh, kw, stride, pad)
+				gwRow := part(gwPart, i)
 				for j := range gwRow {
 					gwRow[j] = 0
 				}
-				transAOuter(gwRow, gyMat.data, cols.data, oc, oh*ow, ckk)
+				transAOuter(gwRow, gm, cc, oc, np, ckk)
 			}
-			// gcols = gyMat @ wmat, then scatter back
-			matMulInto(gcols.data, gyMat.data, wmat.data, oh*ow, oc, ckk)
-			col2imRaw(gx.data[i*c*h*w:(i+1)*c*h*w], gcols.data, c, h, w, kh, kw, stride, pad)
-		}
-		unscratch(p, gyMat, gcols)
-		if cols != nil {
-			unscratch(p, cols)
+			// gc = gm @ wmat, then scatter back
+			matMulInto(gc, gm, wmat.data, np, oc, ckk)
+			col2imRaw(gx.data[i*c*h*w:(i+1)*c*h*w], gc, c, h, w, kh, kw, stride, pad)
 		}
 	})
 	if gw != nil {
 		gw.Zero()
 		for i := 0; i < b; i++ {
-			saxpy(gw.data, gwPart.data[i*oc*ckk:(i+1)*oc*ckk], 1)
+			saxpy(gw.data, part(gwPart, i), 1)
 		}
-		unscratch(p, gwPart)
 	}
 	if gb != nil {
 		for i := 0; i < b; i++ {
-			row := gbPart.data[i*oc : (i+1)*oc]
-			for o, v := range row {
+			for o, v := range part(gbPart, i) {
 				gb.data[o] += v
 			}
 		}
-		unscratch(p, gbPart)
 	}
+	unscratch(p, gyMat, gcols, cols, gwPart, gbPart)
 	kernelEnd(hk, t0, KernelConv)
 }
 
@@ -420,20 +404,21 @@ func ConvTranspose2dInto(p *Pool, dst, x, weight *Tensor, stride, pad int) {
 	okk := oc * kh * kw
 	wmat := weight.Reshape(c, okk)
 	hk, t0 := kernelStart()
-	parallelFor(b, b*h*w*c*okk, func(i0, i1 int) {
-		xT := scratch(p, h*w, c)
-		gcols := scratch(p, h*w, okk)
+	nc := chunks(b, b*h*w*c*okk)
+	xT, gcols := scratch(p, nc, h*w*c), scratch(p, nc, h*w*okk)
+	parallelFor(b, nc, func(ci, i0, i1 int) {
+		xc, gc := part(xT, ci), part(gcols, ci)
 		for i := i0; i < i1; i++ {
-			// x sample [c, h*w] -> xT [h*w, c]
-			transposeScatterBias(xT.data, x.data[i*c*h*w:(i+1)*c*h*w], nil, h*w, c)
-			matMulInto(gcols.data, xT.data, wmat.data, h*w, c, okk)
+			// x sample [c, h*w] -> xc [h*w, c]
+			transposeScatterBias(xc, x.data[i*c*h*w:(i+1)*c*h*w], nil, h*w, c)
+			matMulInto(gc, xc, wmat.data, h*w, c, okk)
 			// The (h,w) grid is exactly the conv-output grid of the adjoint
-			// ((oh+2*pad-kh)/stride+1 == h), so Col2Im scatters gcols onto
+			// ((oh+2*pad-kh)/stride+1 == h), so Col2Im scatters gc onto
 			// the upsampled [oc,oh,ow] sample.
-			col2imRaw(dst.data[i*oc*oh*ow:(i+1)*oc*oh*ow], gcols.data, oc, oh, ow, kh, kw, stride, pad)
+			col2imRaw(dst.data[i*oc*oh*ow:(i+1)*oc*oh*ow], gc, oc, oh, ow, kh, kw, stride, pad)
 		}
-		unscratch(p, xT, gcols)
 	})
+	unscratch(p, xT, gcols)
 	kernelEnd(hk, t0, KernelConv)
 }
 
@@ -444,23 +429,15 @@ func ConvTranspose2dInto(p *Pool, dst, x, weight *Tensor, stride, pad int) {
 func MaxPool2d(x *Tensor, k, s int) (*Tensor, []int) {
 	b, c := x.shape[0], x.shape[1]
 	oh, ow := ConvOut(x.shape[2], k, s, 0), ConvOut(x.shape[3], k, s, 0)
-	out := New(b, c, oh, ow)
-	return out, MaxPool2dInto(out, x, k, s)
-}
-
-// MaxPool2dInto max-pools x into the pre-allocated out [B,C,oh,ow],
-// overwriting it, and returns the per-element argmax indices for the
-// backward pass.
-func MaxPool2dInto(out, x *Tensor, k, s int) []int {
-	b, c := x.shape[0], x.shape[1]
-	oh, ow := ConvOut(x.shape[2], k, s, 0), ConvOut(x.shape[3], k, s, 0)
-	idx := make([]int, b*c*oh*ow)
+	out, idx := New(b, c, oh, ow), make([]int, b*c*oh*ow)
 	MaxPool2dIdxInto(out, x, k, s, idx)
-	return idx
+	return out, idx
 }
 
-// MaxPool2dIdxInto is MaxPool2dInto with a caller-provided (e.g. pooled)
-// argmax buffer of length B*C*oh*ow.
+// MaxPool2dIdxInto max-pools x into the pre-allocated out [B,C,oh,ow],
+// overwriting it, and stores the per-element argmax indices for the
+// backward pass into the caller-provided (e.g. pooled) idx of length
+// B*C*oh*ow.
 func MaxPool2dIdxInto(out, x *Tensor, k, s int, idx []int) {
 	b, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh, ow := ConvOut(h, k, s, 0), ConvOut(w, k, s, 0)

@@ -4,9 +4,26 @@
 // the attack suite.
 //
 // Tensors are row-major and contiguous. The package is deliberately free of
-// any autodiff logic: it only moves numbers around. All operations that
-// allocate return fresh tensors; operations suffixed In or prefixed with a
-// destination receiver mutate in place.
+// any autodiff logic: it only moves numbers around.
+//
+// # Kernel contract
+//
+// Each kernel has exactly one core: an Into form that writes a
+// caller-provided destination (MatMulInto, Conv2dInto, SoftmaxRowsInto, …)
+// or a Raw form over bare row-major buffers (MatMulRaw, SoftmaxRowsRaw, …).
+// The heap form (Add, MatMul, Conv2d, …), which returns a fresh tensor, and
+// the In form (AddIn, ScaleIn, ClampIn, …), which mutates its first operand,
+// are one-line wrappers over that core, so every variant runs the same loop
+// and produces the same bits.
+//
+// Kernels that need scratch (Conv2dInto, Conv2dBackwardInto,
+// ConvTranspose2dInto, FusedAttentionInto, FusedAttentionBackwardInto)
+// borrow it once per call, before dispatch: one [chunks, size] slab per
+// scratch kind, sized by chunks(), of which each chunk uses its own row.
+// Shards never touch the Pool, so the pool's traffic — and the pooled
+// engine's zero-miss steady state — is the same under every schedule. The
+// chunk count is a pure function of (n, work, KernelWorkers()), sampled
+// once per call for both the slab size and the dispatch.
 //
 // # Parallelism
 //
@@ -37,8 +54,10 @@
 // accumulate per-sample partials in scratch and reduce serially in sample
 // order.
 //
-// The size-bucketed Pool is safe for concurrent use, but the hot paths give
-// each worker its own pool so the mutex stays uncontended. RNG wraps
+// The size-bucketed Pool is safe for concurrent use. The shards of one
+// kernel call share the caller's pool, but only the calling goroutine
+// borrows from it; concurrent callers (e.g. ParallelOracle workers) each
+// bring their own pool, so the mutex stays uncontended. RNG wraps
 // math/rand with an explicit seed — every random draw in the repo flows
 // through it, which is what makes experiments replayable.
 package tensor

@@ -18,9 +18,7 @@ func MatMul(a, b *Tensor) *Tensor {
 func MatMulInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMul(a, b, false, false)
 	checkMatMulDst("MatMulInto", dst, m, n)
-	h, t0 := kernelStart()
-	matMulInto(dst.data, a.data, b.data, m, k, n)
-	kernelEnd(h, t0, KernelMatMul)
+	MatMulRaw(dst.data, a.data, b.data, m, k, n)
 }
 
 // MatMulTransB returns a@bᵀ for a [m,k] and b [n,k] -> [m,n]. Used by
@@ -102,69 +100,41 @@ func dotRowsSeg(out, a, b []float32, m, k, n, j0, j1 int) {
 func MatMulTransA(a, b *Tensor) *Tensor {
 	m, _, n := checkMatMul(a, b, true, false)
 	out := New(m, n)
-	matMulTransAInto(out, a, b, false)
+	MatMulTransAInto(out, a, b)
 	return out
 }
 
 // MatMulTransAInto stores aᵀ@b into dst, overwriting it. dst must not alias
 // the operands.
-func MatMulTransAInto(dst, a, b *Tensor) { matMulTransAInto(dst, a, b, true) }
-
-// MatMulTransAAddInto accumulates aᵀ@b into dst (dst += aᵀ@b), the fused
-// form used by convolution weight gradients.
-func MatMulTransAAddInto(dst, a, b *Tensor) {
-	m, k, n := checkMatMul(a, b, true, false)
-	checkMatMulDst("MatMulTransAAddInto", dst, m, n)
-	h, t0 := kernelStart()
-	transAOuter(dst.data, a.data, b.data, m, k, n)
-	kernelEnd(h, t0, KernelMatMul)
-}
-
-func matMulTransAInto(dst, a, b *Tensor, zero bool) {
+func MatMulTransAInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMul(a, b, true, false)
 	checkMatMulDst("MatMulTransAInto", dst, m, n)
-	h, t0 := kernelStart()
-	if zero {
-		dst.Zero()
-	}
-	transAOuter(dst.data, a.data, b.data, m, k, n)
-	kernelEnd(h, t0, KernelMatMul)
+	dst.Zero()
+	MatMulTransAAddRaw(dst.data, a.data, b.data, m, k, n)
 }
 
 // transAOuter accumulates k outer products into out; parallelized over
 // output rows to keep writes disjoint. out must be pre-zeroed (or hold the
 // accumulation base).
 func transAOuter(out, a, b []float32, m, k, n int) {
-	if !shouldParallel(m, m*k*n) {
+	nc := chunks(m, m*k*n)
+	if nc == 1 {
 		transARows(out, a, b, 0, m, m, k, n)
 		return
 	}
-	parallelRows(m, m*k*n, func(r0, r1 int) {
+	parallelFor(m, nc, func(_, r0, r1 int) {
 		transARows(out, a, b, r0, r1, m, k, n)
 	})
 }
 
+// transARows computes rows [r0,r1) of out += aᵀ@b: row i sweeps column i
+// of a [k,m], i.e. a[i:] at stride m.
 func transARows(out, a, b []float32, r0, r1, m, k, n int) {
+	if k == 0 {
+		return // a is empty: there is nothing to accumulate (or to slice)
+	}
 	for i := r0; i < r1; i++ {
-		or := out[i*n : (i+1)*n]
-		p := 0
-		for ; p+2 <= k; p += 2 {
-			a1, a2 := a[p*m+i], a[(p+1)*m+i]
-			switch {
-			case a1 == 0 && a2 == 0:
-			case a2 == 0:
-				saxpy(or, b[p*n:(p+1)*n], a1)
-			case a1 == 0:
-				saxpy(or, b[(p+1)*n:(p+2)*n], a2)
-			default:
-				saxpy2(or, b[p*n:(p+1)*n], b[(p+1)*n:(p+2)*n], a1, a2)
-			}
-		}
-		if p < k {
-			if av := a[p*m+i]; av != 0 {
-				saxpy(or, b[p*n:(p+1)*n], av)
-			}
-		}
+		saxpyRows(out[i*n:(i+1)*n], a[i:], m, b, k, n)
 	}
 }
 
@@ -210,7 +180,7 @@ func BMMInto(dst, a, b *Tensor) {
 	if G == 1 {
 		matMulInto(dst.data, a.data, b.data, m, k, n)
 	} else {
-		parallelFor(G, G*m*k*n, func(g0, g1 int) {
+		parallelFor(G, chunks(G, G*m*k*n), func(_, g0, g1 int) {
 			for i := g0; i < g1; i++ {
 				matMulRowsBlocked(dst.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)
 			}
@@ -227,7 +197,7 @@ func BMMTransBInto(dst, a, b *Tensor) {
 	if G == 1 {
 		matMulTransBRaw(dst.data, a.data, b.data, m, k, n)
 	} else {
-		parallelFor(G, G*m*k*n, func(g0, g1 int) {
+		parallelFor(G, chunks(G, G*m*k*n), func(_, g0, g1 int) {
 			for i := g0; i < g1; i++ {
 				dotRows(dst.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*n*k:(i+1)*n*k], m, k, n)
 			}
@@ -245,7 +215,7 @@ func BMMTransAAddInto(dst, a, b *Tensor) {
 	if G == 1 {
 		transAOuter(dst.data, a.data, b.data, m, k, n)
 	} else {
-		parallelFor(G, G*m*k*n, func(g0, g1 int) {
+		parallelFor(G, chunks(G, G*m*k*n), func(_, g0, g1 int) {
 			for i := g0; i < g1; i++ {
 				transARows(dst.data[i*m*n:(i+1)*m*n], a.data[i*k*m:(i+1)*k*m], b.data[i*k*n:(i+1)*k*n], 0, m, m, k, n)
 			}
@@ -276,12 +246,12 @@ func checkMatMul(a, b *Tensor, transA, transB bool) (m, k, n int) {
 // sharded over the worker pool when the product is large enough; each shard
 // runs the cache-blocked row kernel.
 func matMulInto(out, a, b []float32, m, k, n int) {
-	work := m * k * n
-	if !shouldParallel(m, work) {
+	nc := chunks(m, m*k*n)
+	if nc == 1 {
 		matMulRowsBlocked(out, a, b, 0, m, k, n)
 		return
 	}
-	parallelRows(m, work, func(r0, r1 int) {
+	parallelFor(m, nc, func(_, r0, r1 int) {
 		matMulRowsBlocked(out, a, b, r0, r1, k, n)
 	})
 }
@@ -335,7 +305,7 @@ func matMulRowsBlocked(out, a, b []float32, r0, r1, k, n int) {
 						or[j] = 0
 					}
 				}
-				saxpyRows(or, a[i*k+p0:i*k+p0+kc], pack, kc, nc)
+				saxpyRows(or, a[i*k+p0:i*k+p0+kc], 1, pack, kc, nc)
 			}
 		}
 	}
@@ -348,17 +318,17 @@ func matMulRows(out, a, b []float32, r0, r1, k, n int) {
 		for j := range or {
 			or[j] = 0
 		}
-		saxpyRows(or, a[i*k:(i+1)*k], b, k, n)
+		saxpyRows(or, a[i*k:(i+1)*k], 1, b, k, n)
 	}
 }
 
-// saxpyRows accumulates or += Σ_p ar[p]·b[p,:], pairing two p-rows per
-// sweep to halve the passes over or. The written association
+// saxpyRows accumulates or += Σ_p ar[p·stride]·b[p,:], pairing two p-rows
+// per sweep to halve the passes over or. The written association
 // ((or + a1·b1) + a2·b2) matches two sequential saxpy calls bit-for-bit.
-func saxpyRows(or, ar, b []float32, k, n int) {
+func saxpyRows(or, ar []float32, stride int, b []float32, k, n int) {
 	p := 0
 	for ; p+2 <= k; p += 2 {
-		a1, a2 := ar[p], ar[p+1]
+		a1, a2 := ar[p*stride], ar[(p+1)*stride]
 		switch {
 		case a1 == 0 && a2 == 0:
 		case a2 == 0:
@@ -370,7 +340,7 @@ func saxpyRows(or, ar, b []float32, k, n int) {
 		}
 	}
 	if p < k {
-		if av := ar[p]; av != 0 {
+		if av := ar[p*stride]; av != 0 {
 			saxpy(or, b[p*n:(p+1)*n], av)
 		}
 	}
@@ -435,11 +405,12 @@ func MatMulTransBRaw(out, a, b []float32, m, k, n int) {
 // matMulTransBRaw is the unhooked a@bᵀ kernel, shared with the conv and
 // batched paths so nested uses are not double-counted by the hook.
 func matMulTransBRaw(out, a, b []float32, m, k, n int) {
-	if !shouldParallel(m, m*k*n) {
+	nc := chunks(m, m*k*n)
+	if nc == 1 {
 		dotRows(out, a, b, m, k, n)
 		return
 	}
-	parallelRows(m, m*k*n, func(r0, r1 int) {
+	parallelFor(m, nc, func(_, r0, r1 int) {
 		dotRows(out[r0*n:r1*n], a[r0*k:r1*k], b, r1-r0, k, n)
 	})
 }

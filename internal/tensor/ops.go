@@ -5,59 +5,25 @@ import (
 	"math"
 )
 
-// binOp applies f elementwise over equal-shaped tensors into a fresh tensor.
-func binOp(a, b *Tensor, f func(x, y float32) float32) *Tensor {
-	if len(a.data) != len(b.data) {
-		panic(fmt.Sprintf("tensor: elementwise op on mismatched shapes %v vs %v", a.shape, b.shape))
-	}
+// fresh returns a new tensor shaped like a, filled by into: the heap form
+// of an Into kernel.
+func fresh(a *Tensor, into func(dst *Tensor)) *Tensor {
 	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = f(a.data[i], b.data[i])
-	}
+	into(out)
 	return out
 }
 
 // Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor { return binOp(a, b, func(x, y float32) float32 { return x + y }) }
+func Add(a, b *Tensor) *Tensor { return fresh(a, func(dst *Tensor) { AddInto(dst, a, b) }) }
 
 // Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor { return binOp(a, b, func(x, y float32) float32 { return x - y }) }
+func Sub(a, b *Tensor) *Tensor { return fresh(a, func(dst *Tensor) { SubInto(dst, a, b) }) }
 
 // Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor { return binOp(a, b, func(x, y float32) float32 { return x * y }) }
-
-// Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor { return binOp(a, b, func(x, y float32) float32 { return x / y }) }
+func Mul(a, b *Tensor) *Tensor { return fresh(a, func(dst *Tensor) { MulInto(dst, a, b) }) }
 
 // AddIn accumulates src into dst in place.
-func AddIn(dst, src *Tensor) {
-	if len(dst.data) != len(src.data) {
-		panic(fmt.Sprintf("tensor: AddIn size mismatch %v vs %v", dst.shape, src.shape))
-	}
-	for i := range dst.data {
-		dst.data[i] += src.data[i]
-	}
-}
-
-// SubIn subtracts src from dst in place.
-func SubIn(dst, src *Tensor) {
-	if len(dst.data) != len(src.data) {
-		panic(fmt.Sprintf("tensor: SubIn size mismatch %v vs %v", dst.shape, src.shape))
-	}
-	for i := range dst.data {
-		dst.data[i] -= src.data[i]
-	}
-}
-
-// MulIn multiplies dst by src elementwise in place.
-func MulIn(dst, src *Tensor) {
-	if len(dst.data) != len(src.data) {
-		panic(fmt.Sprintf("tensor: MulIn size mismatch %v vs %v", dst.shape, src.shape))
-	}
-	for i := range dst.data {
-		dst.data[i] *= src.data[i]
-	}
-}
+func AddIn(dst, src *Tensor) { AddInto(dst, dst, src) }
 
 // AddScaledIn performs dst += alpha*src in place (axpy).
 func AddScaledIn(dst *Tensor, alpha float32, src *Tensor) {
@@ -71,19 +37,11 @@ func AddScaledIn(dst *Tensor, alpha float32, src *Tensor) {
 
 // Scale returns alpha*a.
 func Scale(a *Tensor, alpha float32) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = alpha * v
-	}
-	return out
+	return fresh(a, func(dst *Tensor) { ScaleInto(dst, a, alpha) })
 }
 
 // ScaleIn multiplies a by alpha in place.
-func ScaleIn(a *Tensor, alpha float32) {
-	for i := range a.data {
-		a.data[i] *= alpha
-	}
-}
+func ScaleIn(a *Tensor, alpha float32) { ScaleInto(a, a, alpha) }
 
 // AddScalar returns a + c.
 func AddScalar(a *Tensor, c float32) *Tensor {
@@ -96,22 +54,11 @@ func AddScalar(a *Tensor, c float32) *Tensor {
 
 // Apply returns f applied elementwise.
 func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = f(v)
-	}
-	return out
+	return fresh(a, func(dst *Tensor) { ApplyInto(dst, a, f) })
 }
 
 // ApplyIn applies f elementwise in place.
-func ApplyIn(a *Tensor, f func(float32) float32) {
-	for i, v := range a.data {
-		a.data[i] = f(v)
-	}
-}
-
-// Neg returns -a.
-func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
+func ApplyIn(a *Tensor, f func(float32) float32) { ApplyInto(a, a, f) }
 
 // Sign returns the elementwise sign of a (-1, 0, or +1).
 func Sign(a *Tensor) *Tensor {
@@ -159,15 +106,9 @@ func Tanh(a *Tensor) *Tensor {
 
 // Clamp returns a with every element clipped into [lo, hi].
 func Clamp(a *Tensor, lo, hi float32) *Tensor {
-	return Apply(a, func(v float32) float32 {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	})
+	out := a.Clone()
+	ClampIn(out, lo, hi)
+	return out
 }
 
 // ClampIn clips in place.
@@ -283,66 +224,7 @@ func NormLInf(a *Tensor) float64 {
 // SoftmaxRows returns row-wise softmax of a 2-D tensor, numerically
 // stabilized by the row max.
 func SoftmaxRows(a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: SoftmaxRows requires a 2-D tensor")
-	}
-	rows, cols := a.shape[0], a.shape[1]
-	out := New(rows, cols)
-	for r := 0; r < rows; r++ {
-		row := a.data[r*cols : (r+1)*cols]
-		mx := row[0]
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		sum := 0.0
-		o := out.data[r*cols : (r+1)*cols]
-		for i, v := range row {
-			e := math.Exp(float64(v - mx))
-			o[i] = float32(e)
-			sum += e
-		}
-		inv := float32(1.0 / sum)
-		for i := range o {
-			o[i] *= inv
-		}
-	}
-	return out
-}
-
-// SumRows returns the column-wise sum of a 2-D tensor (shape [cols]).
-func SumRows(a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: SumRows requires a 2-D tensor")
-	}
-	rows, cols := a.shape[0], a.shape[1]
-	out := New(cols)
-	for r := 0; r < rows; r++ {
-		row := a.data[r*cols : (r+1)*cols]
-		for c, v := range row {
-			out.data[c] += v
-		}
-	}
-	return out
-}
-
-// AddRowVectorIn adds a length-cols vector to every row of a 2-D tensor in
-// place (broadcast bias add).
-func AddRowVectorIn(a, v *Tensor) {
-	if len(a.shape) != 2 {
-		panic("tensor: AddRowVectorIn requires a 2-D tensor")
-	}
-	cols := a.shape[1]
-	if v.Len() != cols {
-		panic(fmt.Sprintf("tensor: AddRowVectorIn vector length %d != cols %d", v.Len(), cols))
-	}
-	for r := 0; r < a.shape[0]; r++ {
-		row := a.data[r*cols : (r+1)*cols]
-		for c := range row {
-			row[c] += v.data[c]
-		}
-	}
+	return fresh(a, func(dst *Tensor) { SoftmaxRowsInto(dst, a) })
 }
 
 // checkSameLen panics unless all operands have equal element counts.
@@ -450,24 +332,6 @@ func SumRowsRaw(dst, a []float32, rows, cols int) {
 		row := a[r*cols : (r+1)*cols]
 		for c, v := range row {
 			dst[c] += v
-		}
-	}
-}
-
-// SumRowsInto stores the column-wise sum of a 2-D tensor into dst [cols].
-func SumRowsInto(dst, a *Tensor) {
-	if len(a.shape) != 2 {
-		panic("tensor: SumRowsInto requires a 2-D tensor")
-	}
-	rows, cols := a.shape[0], a.shape[1]
-	if len(dst.data) != cols {
-		panic(fmt.Sprintf("tensor: SumRowsInto dst %v vs cols %d", dst.shape, cols))
-	}
-	dst.Zero()
-	for r := 0; r < rows; r++ {
-		row := a.data[r*cols : (r+1)*cols]
-		for c, v := range row {
-			dst.data[c] += v
 		}
 	}
 }

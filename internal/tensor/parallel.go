@@ -29,7 +29,7 @@ import (
 //
 //   - Bit determinism. Every chunk is executed by exactly one goroutine
 //     with the same intra-chunk iteration order as the serial path, and
-//     chunk boundaries depend only on (n, worker count), never on
+//     chunk boundaries depend only on (n, work, worker count), never on
 //     scheduling. Kernels built on parallelFor therefore produce results
 //     bit-identical to their single-threaded runs as long as chunk writes
 //     are disjoint and cross-chunk reductions are performed serially in a
@@ -115,41 +115,40 @@ func kernelPool() *workerPool {
 // kernels run serially; sharding tiny operations costs more than it saves.
 const parallelThreshold = 1 << 16
 
-// shouldParallel reports whether a kernel sharding n independent units of
-// `work` total multiply-adds is worth dispatching to the pool.
-func shouldParallel(n, work int) bool {
-	return work >= parallelThreshold && n >= 2 && KernelWorkers() > 1
-}
-
-// parallelFor shards [0,n) into chunks and runs body on each chunk, using
-// the shared worker pool when the work is large enough and the serial
-// inline path otherwise. body(lo, hi) must write only state owned by
-// [lo,hi); results are then bit-identical for every worker count.
-func parallelFor(n, work int, body func(lo, hi int)) {
+// chunks returns how many chunks a kernel sharding n independent units of
+// `work` total multiply-adds is split into: 1 (the serial inline path)
+// below parallelThreshold, for n < 2, or with one kernel worker, and
+// otherwise twice the worker count capped at n — the atomic cursor then
+// load-balances uneven chunk costs without affecting per-chunk determinism.
+// It is a pure function of (n, work, KernelWorkers()), so a kernel sizes its
+// per-chunk scratch from the same count parallelFor dispatches.
+func chunks(n, work int) int {
 	w := KernelWorkers()
 	if w <= 1 || n < 2 || work < parallelThreshold {
-		body(0, n)
+		return 1
+	}
+	return min(2*w, n)
+}
+
+// parallelFor shards [0,n) into nc chunks (from chunks) and runs
+// body(chunk, lo, hi) once per chunk, on the shared worker pool when nc > 1
+// and inline otherwise. body must write only state owned by [lo,hi) or by
+// its chunk index; results are then bit-identical for every worker count.
+func parallelFor(n, nc int, body func(chunk, lo, hi int)) {
+	if nc <= 1 {
+		body(0, 0, n)
 		return
 	}
 	pool := kernelPool()
-	if w > pool.size+1 {
-		w = pool.size + 1
-	}
-	// Twice as many chunks as runners: the atomic cursor load-balances
-	// uneven chunk costs without affecting per-chunk determinism.
-	nchunks := 2 * w
-	if nchunks > n {
-		nchunks = n
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(nchunks)
+	wg.Add(nc)
 	run := func() bool {
 		i := int(next.Add(1)) - 1
-		if i >= nchunks {
+		if i >= nc {
 			return false
 		}
-		body(i*n/nchunks, (i+1)*n/nchunks)
+		body(i, i*n/nc, (i+1)*n/nc)
 		wg.Done()
 		return true
 	}
@@ -160,10 +159,7 @@ func parallelFor(n, work int, body func(lo, hi int)) {
 	// Offer helpers without blocking: a full channel means every worker is
 	// busy (typically because this call is nested inside another parallel
 	// region), and the caller simply runs its chunks inline.
-	helpers := w - 1
-	if helpers > nchunks-1 {
-		helpers = nchunks - 1
-	}
+	helpers := min(KernelWorkers()-1, nc-1, pool.size)
 offer:
 	for h := 0; h < helpers; h++ {
 		select {
@@ -174,10 +170,4 @@ offer:
 	}
 	helper()
 	wg.Wait()
-}
-
-// parallelRows shards [0,m) row ranges of a kernel whose total work is
-// `work` multiply-adds across the worker pool.
-func parallelRows(m, work int, body func(r0, r1 int)) {
-	parallelFor(m, work, body)
 }

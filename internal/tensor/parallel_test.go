@@ -37,11 +37,11 @@ func TestKernelWorkersSerialPath(t *testing.T) {
 		if KernelWorkers() != 1 {
 			t.Fatalf("KernelWorkers() = %d, want 1", KernelWorkers())
 		}
-		var calls [][2]int
-		parallelFor(1024, 1<<22, func(lo, hi int) {
-			calls = append(calls, [2]int{lo, hi})
+		var calls [][3]int
+		parallelFor(1024, chunks(1024, 1<<22), func(chunk, lo, hi int) {
+			calls = append(calls, [3]int{chunk, lo, hi})
 		})
-		if len(calls) != 1 || calls[0] != [2]int{0, 1024} {
+		if len(calls) != 1 || calls[0] != [3]int{0, 0, 1024} {
 			t.Fatalf("worker override 1 sharded the range: calls = %v", calls)
 		}
 	})
@@ -55,15 +55,18 @@ func TestKernelWorkersSerialPath(t *testing.T) {
 }
 
 // TestParallelForCoversRange checks the sharded path partitions [0,n)
-// exactly once per index for worker counts that exceed the chunk count and
-// for n smaller than the would-be chunk count.
+// exactly once per index, and visits every chunk index in
+// [0, chunks(n, work)) exactly once, for worker counts that exceed the chunk
+// count and for n smaller than the would-be chunk count.
 func TestParallelForCoversRange(t *testing.T) {
 	for _, tc := range []struct{ workers, n int }{{4, 1024}, {16, 5}, {3, 7}, {8, 999}} {
 		withWorkers(tc.workers, func() {
 			var mu sync.Mutex
-			seen := make([]int, tc.n)
-			parallelFor(tc.n, 1<<22, func(lo, hi int) {
+			nc := chunks(tc.n, 1<<22)
+			seen, chunkSeen := make([]int, tc.n), make([]int, nc)
+			parallelFor(tc.n, nc, func(chunk, lo, hi int) {
 				mu.Lock()
+				chunkSeen[chunk]++
 				for i := lo; i < hi; i++ {
 					seen[i]++
 				}
@@ -72,6 +75,11 @@ func TestParallelForCoversRange(t *testing.T) {
 			for i, c := range seen {
 				if c != 1 {
 					t.Fatalf("workers=%d n=%d: index %d covered %d times", tc.workers, tc.n, i, c)
+				}
+			}
+			for i, c := range chunkSeen {
+				if c != 1 {
+					t.Fatalf("workers=%d n=%d: chunk %d of %d visited %d times", tc.workers, tc.n, i, nc, c)
 				}
 			}
 		})

@@ -15,8 +15,10 @@ import (
 // Pool and returns them in one sweep (Graph.Release) after the pass, making
 // steady-state attack and training iterations allocation-free.
 //
-// A Pool is safe for concurrent use. For the hot single-threaded paths each
-// worker owns its own pool, so the mutex stays uncontended.
+// A Pool is safe for concurrent use. Kernels borrow their scratch from the
+// calling goroutine only, once per call, never from inside a parallel
+// shard; concurrent callers each bring their own pool, so the mutex stays
+// uncontended.
 type Pool struct {
 	mu      sync.Mutex
 	buckets map[int][]*Tensor

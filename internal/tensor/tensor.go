@@ -43,9 +43,6 @@ func Full(v float32, shape ...int) *Tensor {
 // Ones returns a tensor of ones.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 
-// Scalar returns a 1-element tensor holding v.
-func Scalar(v float32) *Tensor { return FromSlice([]float32{v}, 1) }
-
 func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {

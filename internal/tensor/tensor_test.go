@@ -216,16 +216,22 @@ func TestMatMulSmall(t *testing.T) {
 
 func TestMatMulVariantsAgree(t *testing.T) {
 	rng := NewRNG(1)
-	a := rng.Normal(0, 1, 7, 5)
-	b := rng.Normal(0, 1, 5, 9)
-	want := MatMul(a, b)
-	gotTB := MatMulTransB(a, Transpose(b))
-	if !want.AllClose(gotTB, 1e-4) {
-		t.Fatal("MatMulTransB disagrees with MatMul")
-	}
-	gotTA := MatMulTransA(Transpose(a), b)
-	if !want.AllClose(gotTA, 1e-4) {
-		t.Fatal("MatMulTransA disagrees with MatMul")
+	// [m,k,n] shapes; an empty inner dimension must give a zero product.
+	for _, d := range [][3]int{{7, 5, 9}, {3, 0, 4}} {
+		a := rng.Normal(0, 1, d[0], d[1])
+		b := rng.Normal(0, 1, d[1], d[2])
+		want := MatMul(a, b)
+		gotTB := MatMulTransB(a, Transpose(b))
+		if !want.AllClose(gotTB, 1e-4) {
+			t.Fatalf("%v: MatMulTransB disagrees with MatMul", d)
+		}
+		gotTA := MatMulTransA(Transpose(a), b)
+		if !want.AllClose(gotTA, 1e-4) {
+			t.Fatalf("%v: MatMulTransA disagrees with MatMul", d)
+		}
+		if d[1] == 0 && (NormLInf(want) != 0 || NormLInf(gotTA) != 0) {
+			t.Fatalf("%v: empty inner dimension gave a non-zero product", d)
+		}
 	}
 }
 
