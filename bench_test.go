@@ -167,14 +167,27 @@ func BenchmarkOracleGradCE(b *testing.B) {
 }
 
 // BenchmarkOracleGradCEShielded times one restricted-white-box gradient
-// query: a shielded Query plus the upsampled adjoint.
+// query against the shielded ViT: a shielded Query plus the upsampled
+// adjoint. Many small enclave crossings per query.
 func BenchmarkOracleGradCEShielded(b *testing.B) {
 	blk := benchBlock(b)
-	x, y, err := eval.SelectCorrect([]models.Model{blk.ViT}, blk.Val, 4)
+	benchShieldedGradCE(b, blk, blk.ViT)
+}
+
+// BenchmarkOracleGradCEShieldedBiT is the BiT counterpart: few crossings,
+// each carrying a whole stem feature map.
+func BenchmarkOracleGradCEShieldedBiT(b *testing.B) {
+	blk := benchBlock(b)
+	benchShieldedGradCE(b, blk, blk.BiT)
+}
+
+func benchShieldedGradCE(b *testing.B, blk *eval.Block, m models.Model) {
+	b.Helper()
+	x, y, err := eval.SelectCorrect([]models.Model{m}, blk.Val, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sm, err := core.NewShieldedModel(blk.ViT, 0)
+	sm, err := core.NewShieldedModel(m, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

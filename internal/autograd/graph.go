@@ -41,6 +41,9 @@ type Value struct {
 	isInput  bool
 	param    *Param
 	shielded bool
+	// needsGrad is whether backward must produce dL/du_i for this vertex:
+	// decided once at creation (false for consts and untracked params).
+	needsGrad bool
 }
 
 // ID returns the vertex number (creation order within its graph).
@@ -115,8 +118,10 @@ type Graph struct {
 	// trackParamGrads controls whether backward accumulates into the
 	// persistent Param.Grad buffers. Attack oracles disable it: probing
 	// needs ∇x only, and skipping the weight-gradient products roughly
-	// halves the backward pass.
+	// halves the backward pass. tracked, when non-nil, narrows tracking to
+	// its members (the shield region of a Pelta pass).
 	trackParamGrads bool
+	tracked         map[*Param]bool
 
 	// recorded holds graph-scoped artifacts tagged by ops or models during
 	// the pass (e.g. attention probabilities for the SAGA rollout). Keeping
@@ -160,9 +165,25 @@ func NewGraphWithPool(p *tensor.Pool) *Graph {
 func (g *Graph) Pool() *tensor.Pool { return g.pool }
 
 // SetTrackParamGrads toggles accumulation into persistent parameter
-// gradients. Disabling it (attack oracles) skips both the accumulation and
-// the computation of weight-gradient products in every op's backward.
-func (g *Graph) SetTrackParamGrads(t bool) { g.trackParamGrads = t }
+// gradients for every parameter. Disabling it (attack oracles) skips both
+// the accumulation and the computation of weight-gradient products in every
+// op's backward.
+func (g *Graph) SetTrackParamGrads(t bool) {
+	g.trackParamGrads = t
+	g.tracked = nil
+}
+
+// TrackParamGradsOf restricts parameter-gradient tracking to ps: only their
+// leaves accumulate into Param.Grad, and every other parameter's
+// weight-gradient products are skipped as with SetTrackParamGrads(false).
+// The restriction holds until the next SetTrackParamGrads.
+func (g *Graph) TrackParamGradsOf(ps []*Param) {
+	g.trackParamGrads = true
+	g.tracked = make(map[*Param]bool, len(ps))
+	for _, p := range ps {
+		g.tracked[p] = true
+	}
+}
 
 // Release returns every buffer the graph borrowed from its pool and resets
 // the graph for the next pass. Buffers of vertices scrubbed into the Pelta
@@ -315,6 +336,7 @@ func (g *Graph) newValue(op string, parents ...*Value) *Value {
 	} else {
 		v = &Value{op: op, parents: parents}
 	}
+	v.needsGrad = true
 	v.id = len(g.nodes)
 	v.graph = g
 	g.nodes = append(g.nodes, v)
@@ -344,13 +366,14 @@ func (g *Graph) Const(x *tensor.Tensor, name string) *Value {
 	v := g.newValue("const")
 	v.name = name
 	v.Data = x
+	v.needsGrad = false
 	return v
 }
 
 // Param registers (or reuses) the leaf vertex for p within this graph.
-// When parameter-gradient tracking is on, gradients accumulate directly
-// into p.Grad; otherwise the leaf carries no gradient and backward passes
-// skip the weight-gradient products entirely.
+// When p is tracked, gradients accumulate directly into p.Grad; otherwise
+// the leaf carries no gradient and backward passes skip its weight-gradient
+// products entirely.
 func (g *Graph) Param(p *Param) *Value {
 	if v, ok := g.paramNodes[p]; ok {
 		return v
@@ -359,7 +382,8 @@ func (g *Graph) Param(p *Param) *Value {
 	v.name = p.Name
 	v.Data = p.Data
 	v.param = p
-	if g.trackParamGrads {
+	v.needsGrad = g.trackParamGrads && (g.tracked == nil || g.tracked[p])
+	if v.needsGrad {
 		v.Grad = p.Grad
 	}
 	g.paramNodes[p] = v
@@ -368,13 +392,8 @@ func (g *Graph) Param(p *Param) *Value {
 
 // needs reports whether backward must produce a gradient for parent v.
 // Interior vertices and inputs always need one; parameter leaves only when
-// tracking is on; const leaves never.
-func (g *Graph) needs(v *Value) bool {
-	if v.param != nil {
-		return g.trackParamGrads
-	}
-	return v.op != "const"
-}
+// tracked; const leaves never.
+func (g *Graph) needs(v *Value) bool { return v.needsGrad }
 
 // accum adds grad into v.Grad, allocating it on first use. Parameter leaves
 // alias their Param's persistent gradient, so accumulation trains them.

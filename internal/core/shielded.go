@@ -51,6 +51,10 @@ type ShieldedModel struct {
 	// scrubbed into the enclave are withdrawn from the arena at Scrub time
 	// and never recycled; everything else is swept back per Query.
 	g *autograd.Graph
+	// shielded is the model's shield-region parameters: the only ones whose
+	// gradients a pass computes (Algorithm 1 stores them; nothing reads the
+	// clear region's).
+	shielded []*autograd.Param
 }
 
 // NewShieldedModel shields m with a fresh enclave of the given byte limit
@@ -101,7 +105,9 @@ func (s *ShieldedModel) Query(x *tensor.Tensor, loss LossFn) (*QueryResult, erro
 	s.pass++
 
 	if s.g == nil {
+		s.shielded = s.model.ShieldedParams()
 		s.g = autograd.NewGraphWithPool(tensor.NewPool())
+		s.g.TrackParamGradsOf(s.shielded)
 	}
 	g := s.g
 	g.Release()
@@ -125,11 +131,11 @@ func (s *ShieldedModel) Query(x *tensor.Tensor, loss LossFn) (*QueryResult, erro
 		return nil, fmt.Errorf("core: shielding pass %d: %w", s.pass, err)
 	}
 	res.Report = report
-	// Gradients accumulated into the persistent parameters during this pass
-	// now live in the enclave (for the shielded region) or belong to the
-	// attacker's transient view (clear region); neither may linger in the
-	// defender's optimizer state.
-	for _, p := range s.model.Params() {
+	// Gradients accumulated into the shielded parameters during this pass
+	// now live in the enclave and may not linger in the defender's
+	// optimizer state. The graph tracks no clear-region parameter, so no
+	// other Param.Grad was touched.
+	for _, p := range s.shielded {
 		p.ZeroGrad()
 	}
 	if bad := VerifyScrubbed([]*autograd.Value{boundary}); bad != nil {

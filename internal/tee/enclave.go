@@ -6,6 +6,7 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,6 +52,12 @@ type Enclave struct {
 	objects map[string]*tensor.Tensor
 	token   Token
 	channel *secureChannel
+
+	// free holds zeroed tensors released by Flush/FlushAll for Store and
+	// Accumulate to reuse. They never leave the enclave, and their retained
+	// bytes plus used never exceed limit.
+	free     []*tensor.Tensor
+	retained int64
 
 	metrics Metrics
 	// latency model: fixed cost per world switch plus per-byte transfer
@@ -129,18 +136,21 @@ func (e *Enclave) Store(key string, t *tensor.Tensor) error {
 		return fmt.Errorf("%w: storing %q (%d B) would exceed %d B", ErrEnclaveFull, key, n, e.limit)
 	}
 	// Encrypt in the normal world, decrypt inside the enclave.
-	ct, err := e.channel.seal(encodeTensor(t))
-	if err != nil {
+	if err := e.channel.seal(t); err != nil {
 		return fmt.Errorf("tee: sealing %q: %w", key, err)
 	}
-	pt, err := e.channel.open(ct)
+	pt, err := e.channel.open()
 	if err != nil {
 		return fmt.Errorf("tee: opening %q inside enclave: %w", key, err)
 	}
-	stored, err := decodeTensor(pt)
+	shape, payload, err := decodeHeader(pt, &e.channel.dims)
 	if err != nil {
+		e.channel.wipe()
 		return fmt.Errorf("tee: decoding %q inside enclave: %w", key, err)
 	}
+	stored := e.take(shape, n)
+	decodeInto(stored.Data(), payload)
+	e.channel.wipe()
 	e.accountTransfer(n, true)
 	e.objects[key] = stored
 	e.used += n
@@ -186,7 +196,9 @@ func (e *Enclave) Accumulate(tok Token, key string, src *tensor.Tensor) error {
 	if e.used+n > e.limit {
 		return fmt.Errorf("%w: accumulating %q (%d B) would exceed %d B", ErrEnclaveFull, key, n, e.limit)
 	}
-	e.objects[key] = src.Clone()
+	dst := e.take(src.Shape(), n)
+	dst.CopyFrom(src)
+	e.objects[key] = dst
 	e.used += n
 	e.metrics.ObjectsStored++
 	e.metrics.BytesStored += n
@@ -213,21 +225,65 @@ func (e *Enclave) Flush(tok Token, key string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrObjectNotFound, key)
 	}
-	e.used -= t.Bytes()
 	delete(e.objects, key)
+	e.release(t)
 	return nil
 }
 
-// FlushAll removes every object.
+// FlushAll removes every object. The flushed tensors replace the free list:
+// whatever the previous pass left unclaimed is dropped, so the enclave
+// retains at most one pass's worth of recycled memory.
 func (e *Enclave) FlushAll(tok Token) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if subtle.ConstantTimeCompare(tok.secret[:], e.token.secret[:]) != 1 {
 		return ErrUnauthorized
 	}
-	e.objects = make(map[string]*tensor.Tensor)
-	e.used = 0
+	clear(e.free)
+	e.free = e.free[:0]
+	e.retained = 0
+	for _, t := range e.objects {
+		e.release(t)
+	}
+	clear(e.objects)
 	return nil
+}
+
+// release zeroes a flushed object and moves its bytes from used to the
+// free list.
+func (e *Enclave) release(t *tensor.Tensor) {
+	if !e.channel.keepPlaintext {
+		t.Zero()
+	}
+	e.used -= t.Bytes()
+	e.retained += t.Bytes()
+	e.free = append(e.free, t)
+}
+
+// take returns a zeroed tensor of the given shape and byte size for a new
+// object: a recycled one of that exact shape when the free list has it,
+// else a fresh one, after dropping recycled tensors until retained + used +
+// n fits the limit. The caller has checked that used + n fits.
+func (e *Enclave) take(shape []int, n int64) *tensor.Tensor {
+	for i, t := range e.free {
+		if slices.Equal(t.Shape(), shape) {
+			e.drop(i)
+			return t
+		}
+	}
+	for len(e.free) > 0 && e.used+e.retained+n > e.limit {
+		e.drop(len(e.free) - 1)
+	}
+	return tensor.New(shape...)
+}
+
+// drop removes free-list entry i.
+func (e *Enclave) drop(i int) {
+	last := len(e.free) - 1
+	e.retained -= e.free[i].Bytes()
+	e.free[i] = e.free[last]
+	e.free[last] = nil
+	e.free = e.free[:last]
 }
 
 // Metrics returns a snapshot of the §VI accounting.

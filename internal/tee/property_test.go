@@ -18,15 +18,15 @@ func TestSecureChannelRoundTripProperty(t *testing.T) {
 		d := int(dRaw%5) + 1
 		h := int(hRaw%7) + 1
 		x := tensor.NewRNG(seed).Normal(0, 3, d, h)
-		sealed, err := ch.seal(encodeTensor(x))
-		if err != nil {
+		if err := ch.seal(x); err != nil {
 			return false
 		}
-		plain, err := ch.open(sealed)
+		plain, err := ch.open()
 		if err != nil {
 			return false
 		}
 		back, err := decodeTensor(plain)
+		ch.wipe()
 		if err != nil {
 			return false
 		}

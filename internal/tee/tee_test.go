@@ -137,19 +137,18 @@ func TestSecureChannelTamperDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ch.seal([]byte("gradient payload"))
-	if err != nil {
+	if err := ch.seal(tensor.Ones(4)); err != nil {
 		t.Fatal(err)
 	}
-	ct[len(ct)-1] ^= 0xFF
-	if _, err := ch.open(ct); err == nil {
+	ch.sealed[len(ch.sealed)-1] ^= 0xFF
+	if _, err := ch.open(); err == nil {
 		t.Fatal("tampered ciphertext must not decrypt")
 	}
 }
 
 func TestTensorCodecRoundTrip(t *testing.T) {
 	x := tensor.NewRNG(2).Normal(0, 3, 2, 3, 4)
-	got, err := decodeTensor(encodeTensor(x))
+	got, err := decodeTensor(encodeTensor(nil, x))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +157,22 @@ func TestTensorCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTensorCodecRejectsGarbage pins the decoder's checks, all of which
+// run before it allocates.
 func TestTensorCodecRejectsGarbage(t *testing.T) {
-	if _, err := decodeTensor([]byte{1, 2}); err == nil {
-		t.Fatal("short payload must fail")
+	cases := map[string][]byte{
+		"short payload":     {1, 2},
+		"inconsistent":      make([]byte, 64), // rank 0 with 60 trailing bytes
+		"rank above cap":    header(maxRank + 1),
+		"negative dim":      header(1, 0xFFFFFFFF),
+		"overflowing count": header(3, 0x7FFFFFFF, 0x7FFFFFFF, 0x7FFFFFFF),
+		"count beyond data": append(header(1, 3), make([]byte, 8)...),
+		"truncated shape":   header(4, 1, 1),
 	}
-	if _, err := decodeTensor(make([]byte, 64)); err == nil {
-		// rank 0 with 60 trailing bytes is inconsistent
-		t.Fatal("inconsistent payload must fail")
+	for name, buf := range cases {
+		if _, err := decodeTensor(buf); !errors.Is(err, ErrMalformedPayload) {
+			t.Errorf("%s: want ErrMalformedPayload, got %v", name, err)
+		}
 	}
 }
 
